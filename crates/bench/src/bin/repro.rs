@@ -15,9 +15,11 @@
 //! Experiments: table1 fig4 table2 table3 fig5 table4 ablation-delay
 //! ablation-bl-width ablation-sadp-vss. `--quick` uses the down-scaled
 //! context (small arrays, fewer Monte-Carlo trials); the default is the
-//! paper's full design of experiments. CSV artefacts land in `--out`
-//! (default `results/`). The extra `bench-parallel` target measures
-//! Monte-Carlo throughput per thread count and writes the
+//! paper's full design of experiments. CSV artefacts land in `--out`:
+//! by default `results/` (the paper goldens) for the paper profile and
+//! `target/repro-quick/` for `--quick`, which refuses an `--out` that
+//! resolves to the golden directory. The extra `bench-parallel` target
+//! measures Monte-Carlo throughput per thread count and writes the
 //! `BENCH_parallel.json` snapshot tracked across PRs;
 //! `bench-batch-smoke` times the batched SoA trial solver against the
 //! per-trial scalar path on a reduced SPICE-backed workload and fails
@@ -181,6 +183,59 @@ impl Telemetry {
         }
         Ok(())
     }
+}
+
+/// Where `--quick` CSVs go when `--out` is not given.
+const QUICK_OUT_DIR: &str = "target/repro-quick";
+
+/// Why a run's output directory was refused.
+#[derive(Debug)]
+enum OutDirError {
+    /// A non-paper profile was pointed at the golden directory, whose
+    /// CSVs it would overwrite with figures the goldens do not hold.
+    QuickOverGoldens { out: PathBuf, golden: PathBuf },
+}
+
+impl std::fmt::Display for OutDirError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            OutDirError::QuickOverGoldens { out, golden } => write!(
+                f,
+                "QuickOverGoldens: --out {} resolves to the golden directory {}; \
+                 a --quick run would overwrite the paper goldens (omit --out to write \
+                 to {QUICK_OUT_DIR}/)",
+                out.display(),
+                golden.display()
+            ),
+        }
+    }
+}
+
+/// The directory a run writes its CSVs to: `--out` when given, else
+/// `results/` for the paper profile and [`QUICK_OUT_DIR`] for `--quick`.
+/// A `--quick` run may not write into `golden_dir`.
+fn resolve_out_dir(
+    quick: bool,
+    out: Option<PathBuf>,
+    golden_dir: &Path,
+) -> Result<PathBuf, OutDirError> {
+    let Some(out) = out else {
+        return Ok(PathBuf::from(if quick { QUICK_OUT_DIR } else { "results" }));
+    };
+    // Canonical when the directory exists (so `./results/` and
+    // `x/../results` match), else made absolute as written.
+    let resolve = |p: &Path| {
+        std::fs::canonicalize(p)
+            .or_else(|_| std::path::absolute(p))
+            .unwrap_or_else(|_| p.to_path_buf())
+    };
+    if quick && resolve(&out) == resolve(golden_dir) {
+        return Err(OutDirError::QuickOverGoldens {
+            out,
+            golden: golden_dir.to_path_buf(),
+        });
+    }
+    Ok(out)
 }
 
 fn usage() -> String {
@@ -368,7 +423,7 @@ fn main() -> ExitCode {
     let mut timings = false;
     let mut metrics = false;
     let mut trace: Option<PathBuf> = None;
-    let mut out_dir = PathBuf::from("results");
+    let mut out_dir: Option<PathBuf> = None;
     let mut golden_dir = PathBuf::from("results");
     let mut oracle_cases = 128usize;
     let mut target: Option<String> = None;
@@ -398,7 +453,7 @@ fn main() -> ExitCode {
                 }
             },
             "--out" => match args.next() {
-                Some(dir) => out_dir = PathBuf::from(dir),
+                Some(dir) => out_dir = Some(PathBuf::from(dir)),
                 None => {
                     eprintln!("--out needs a directory\n{}", usage());
                     return ExitCode::FAILURE;
@@ -776,6 +831,13 @@ fn main() -> ExitCode {
                 }
             }
         }
+        let out_dir = match resolve_out_dir(quick, out_dir, &golden_dir) {
+            Ok(dir) => dir,
+            Err(e) => {
+                eprintln!("{e}");
+                return ExitCode::FAILURE;
+            }
+        };
         let mut client = match Client::connect(addr.as_str()) {
             Ok(c) => c,
             Err(e) => {
@@ -914,6 +976,14 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
+
+    let out_dir = match resolve_out_dir(quick, out_dir, &golden_dir) {
+        Ok(dir) => dir,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     let ctx = match if quick {
         ExperimentContext::quick()

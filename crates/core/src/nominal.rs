@@ -34,7 +34,7 @@ pub struct NominalWindow<'t> {
     option: PatterningOption,
     stack: TrackStack,
     bl_index: usize,
-    nominal: WireParasitics,
+    nominal: WireParasitics<'static>,
 }
 
 impl<'t> NominalWindow<'t> {
@@ -58,7 +58,7 @@ impl<'t> NominalWindow<'t> {
         let bl_index = nominal_printed
             .index_of_net("BL")
             .ok_or_else(|| CoreError::Sram("column stack lost its BL track".to_string()))?;
-        let nominal = extract_track(&nominal_printed, bl_index, m1)?;
+        let nominal = extract_track(&nominal_printed, bl_index, m1)?.into_owned();
         Ok(Self {
             tech,
             cell,
@@ -101,7 +101,7 @@ impl<'t> NominalWindow<'t> {
     }
 
     /// The nominal bit-line parasitics.
-    pub fn nominal(&self) -> &WireParasitics {
+    pub fn nominal(&self) -> &WireParasitics<'static> {
         &self.nominal
     }
 }

@@ -24,9 +24,9 @@ pub struct WorstCase {
     /// The winning corner draw.
     pub draw: Draw,
     /// Nominal bit-line parasitics (per analysed window).
-    pub nominal: WireParasitics,
+    pub nominal: WireParasitics<'static>,
     /// Worst-case bit-line parasitics.
-    pub worst: WireParasitics,
+    pub worst: WireParasitics<'static>,
     /// `R_var` / `C_var` multipliers (Table I's impact columns).
     pub variation: RelativeVariation,
     /// Corners skipped because they printed shorted/collapsed lines.
@@ -120,7 +120,10 @@ pub fn find_worst_case_with(
     let (winner, _) = best.ok_or_else(|| CoreError::NoFeasibleCorner {
         option: option.to_string(),
     })?;
-    let worst = scored[winner].take().expect("winner was scored");
+    let worst = scored[winner]
+        .take()
+        .expect("winner was scored")
+        .into_owned();
     let draw = draws[winner];
     let variation = RelativeVariation::between(window.nominal(), &worst);
     Ok(WorstCase {

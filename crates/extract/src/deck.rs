@@ -229,16 +229,19 @@ mod tests {
     use mpvar_tech::preset::n10;
     use mpvar_tech::PatterningOption;
 
-    fn printed_stack() -> PerturbedStack {
-        let drawn = TrackStack::new(vec![
+    fn drawn_stack() -> TrackStack {
+        TrackStack::new(vec![
             Track::new("VSS", Nm(0), Nm(24), Nm(0), Nm(1300)).unwrap(),
             Track::new("BL", Nm(48), Nm(26), Nm(0), Nm(1300)).unwrap(),
             Track::new("VDD", Nm(96), Nm(24), Nm(0), Nm(1300)).unwrap(),
             Track::new("BLB", Nm(144), Nm(26), Nm(0), Nm(1300)).unwrap(),
             Track::new("VSS2", Nm(192), Nm(24), Nm(0), Nm(1300)).unwrap(),
         ])
-        .unwrap();
-        apply_draw(&drawn, &Draw::nominal(PatterningOption::Euv)).unwrap()
+        .unwrap()
+    }
+
+    fn printed(drawn: &TrackStack) -> PerturbedStack<'_> {
+        apply_draw(drawn, &Draw::nominal(PatterningOption::Euv)).unwrap()
     }
 
     fn spec() -> MetalSpec {
@@ -248,7 +251,7 @@ mod tests {
     #[test]
     fn ladder_structure() {
         let deck = emit_rc_deck(
-            &printed_stack(),
+            &printed(&drawn_stack()),
             &spec(),
             &RcDeckSpec {
                 segments: 8,
@@ -267,7 +270,8 @@ mod tests {
 
     #[test]
     fn total_resistance_preserved() {
-        let stack = printed_stack();
+        let drawn = drawn_stack();
+        let stack = printed(&drawn);
         let s = spec();
         let parasitics = extract_stack(&stack, &s).unwrap();
         let bl = parasitics.iter().find(|p| p.net() == "BL").unwrap();
@@ -294,7 +298,8 @@ mod tests {
 
     #[test]
     fn total_capacitance_preserved() {
-        let stack = printed_stack();
+        let drawn = drawn_stack();
+        let stack = printed(&drawn);
         let s = spec();
         let parasitics = extract_stack(&stack, &s).unwrap();
         let bl = parasitics.iter().find(|p| p.net() == "BL").unwrap();
@@ -357,7 +362,8 @@ mod tests {
     fn deck_simulates_as_rc_line() {
         // Drive tap 0 of BL with a step through a source resistor and
         // check the far end settles; wave propagation sanity.
-        let stack = printed_stack();
+        let drawn = drawn_stack();
+        let stack = printed(&drawn);
         let s = spec();
         let mut deck = emit_rc_deck(
             &stack,
@@ -395,7 +401,7 @@ mod tests {
     #[test]
     fn zero_segments_rejected() {
         let r = emit_rc_deck(
-            &printed_stack(),
+            &printed(&drawn_stack()),
             &spec(),
             &RcDeckSpec {
                 segments: 0,
@@ -411,7 +417,7 @@ mod tests {
             segments: 2,
             rail_prefixes: vec!["BLB".into(), "VSS".into(), "VDD".into()],
         };
-        let deck = emit_rc_deck(&printed_stack(), &spec(), &deck_spec).unwrap();
+        let deck = emit_rc_deck(&printed(&drawn_stack()), &spec(), &deck_spec).unwrap();
         // BLB is now a rail: only BL gets a ladder.
         let nets: Vec<&str> = deck.signal_nets().collect();
         assert_eq!(nets, vec!["BL"]);

@@ -1,5 +1,7 @@
 //! Per-track parasitic rollup and relative-variation helpers.
 
+use std::borrow::Cow;
+
 use mpvar_litho::PerturbedStack;
 use mpvar_tech::MetalSpec;
 
@@ -8,9 +10,13 @@ use crate::error::ExtractError;
 use crate::resistance::wire_resistance_ohm;
 
 /// Extracted parasitics of one printed track.
+///
+/// A fresh extraction borrows its net label from the drawn stack the
+/// printed track came from, so it allocates nothing;
+/// [`into_owned`](WireParasitics::into_owned) detaches it for storage.
 #[derive(Debug, Clone, PartialEq)]
-pub struct WireParasitics {
-    net: String,
+pub struct WireParasitics<'a> {
+    net: Cow<'a, str>,
     length_nm: f64,
     resistance_ohm: f64,
     c_ground_f: f64,
@@ -18,7 +24,7 @@ pub struct WireParasitics {
     c_couple_above_f: f64,
 }
 
-impl WireParasitics {
+impl WireParasitics<'static> {
     /// Reassembles an extraction result from its stored scalar parts —
     /// the inverse of reading every accessor, used by the `mpvar-study`
     /// artifact codec to round-trip persisted results bit-exactly.
@@ -32,14 +38,24 @@ impl WireParasitics {
         c_ground_f: f64,
         c_couple_below_f: f64,
         c_couple_above_f: f64,
-    ) -> WireParasitics {
+    ) -> Self {
         WireParasitics {
-            net,
+            net: Cow::Owned(net),
             length_nm,
             resistance_ohm,
             c_ground_f,
             c_couple_below_f,
             c_couple_above_f,
+        }
+    }
+}
+
+impl WireParasitics<'_> {
+    /// The same extraction with its own copy of the net label.
+    pub fn into_owned(self) -> WireParasitics<'static> {
+        WireParasitics {
+            net: Cow::Owned(self.net.into_owned()),
+            ..self
         }
     }
 
@@ -127,11 +143,11 @@ impl RelativeVariation {
 /// # Example
 ///
 /// See the crate-level example.
-pub fn extract_track(
-    stack: &PerturbedStack,
+pub fn extract_track<'a>(
+    stack: &PerturbedStack<'a>,
     index: usize,
     spec: &MetalSpec,
-) -> Result<WireParasitics, ExtractError> {
+) -> Result<WireParasitics<'a>, ExtractError> {
     if index >= stack.len() {
         return Err(ExtractError::TrackOutOfRange {
             index,
@@ -150,7 +166,7 @@ pub fn extract_track(
     )?;
 
     Ok(WireParasitics {
-        net: t.net().to_string(),
+        net: Cow::Borrowed(t.net()),
         length_nm: t.length_nm(),
         resistance_ohm,
         c_ground_f: breakdown.ground_f_per_m * length_m_factor,
@@ -164,10 +180,10 @@ pub fn extract_track(
 /// # Errors
 ///
 /// Propagates the first per-track failure.
-pub fn extract_stack(
-    stack: &PerturbedStack,
+pub fn extract_stack<'a>(
+    stack: &PerturbedStack<'a>,
     spec: &MetalSpec,
-) -> Result<Vec<WireParasitics>, ExtractError> {
+) -> Result<Vec<WireParasitics<'a>>, ExtractError> {
     (0..stack.len())
         .map(|i| extract_track(stack, i, spec))
         .collect()
@@ -191,10 +207,10 @@ mod tests {
         (drawn, n10().metal(1).unwrap().clone())
     }
 
-    fn nominal_bl() -> WireParasitics {
+    fn nominal_bl() -> WireParasitics<'static> {
         let (drawn, spec) = stack_and_spec();
         let printed = apply_draw(&drawn, &Draw::nominal(PatterningOption::Euv)).unwrap();
-        extract_track(&printed, 1, &spec).unwrap()
+        extract_track(&printed, 1, &spec).unwrap().into_owned()
     }
 
     #[test]

@@ -33,135 +33,96 @@ use crate::perturbed::{PerturbedStack, PerturbedTrack};
 /// * [`LithoError::CollapsedLine`] when variation drives a width to zero;
 /// * [`LithoError::ShortedLines`] when adjacent printed lines touch;
 /// * [`LithoError::UndecomposableStack`] for SADP on an empty stack.
-pub fn apply_draw(stack: &TrackStack, draw: &Draw) -> Result<PerturbedStack, LithoError> {
+pub fn apply_draw<'a>(
+    stack: &'a TrackStack,
+    draw: &Draw,
+) -> Result<PerturbedStack<'a>, LithoError> {
     draw.validate()?;
     match draw {
-        Draw::Le3(d) => {
-            let tracks = stack
-                .iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    let mask = le3_mask_of(i);
-                    let width = t.width().to_f64() + d.cd_nm[mask.index()];
-                    let center = t.y_center().to_f64() + d.overlay_nm[mask.index()];
-                    PerturbedTrack::new(
-                        t.net(),
-                        center - width / 2.0,
-                        center + width / 2.0,
-                        t.length().to_f64(),
-                    )
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            PerturbedStack::new(tracks)
+        Draw::Le3(d) => print_tracks(stack, |i, t| {
+            let mask = le3_mask_of(i).index();
+            centered_edges(t, d.cd_nm[mask], d.overlay_nm[mask])
+        }),
+        Draw::Euv(d) => print_tracks(stack, |_, t| centered_edges(t, d.cd_nm, 0.0)),
+        Draw::Sadp(d) => {
+            if stack.is_empty() {
+                return Err(LithoError::UndecomposableStack {
+                    reason: "empty stack".into(),
+                });
+            }
+            let tracks = stack.tracks();
+            print_tracks(stack, |i, t| match sadp_role_of(i) {
+                SadpRole::MandrelDefined => centered_edges(t, d.core_cd_nm, 0.0),
+                SadpRole::SpacerDefined => spacer_edges(tracks, i, d.core_cd_nm, d.spacer_nm),
+            })
         }
-        Draw::Euv(d) => {
-            let tracks = stack
-                .iter()
-                .map(|t| {
-                    let width = t.width().to_f64() + d.cd_nm;
-                    let center = t.y_center().to_f64();
-                    PerturbedTrack::new(
-                        t.net(),
-                        center - width / 2.0,
-                        center + width / 2.0,
-                        t.length().to_f64(),
-                    )
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            PerturbedStack::new(tracks)
-        }
-        Draw::Sadp(d) => apply_sadp(stack, d.core_cd_nm, d.spacer_nm),
-        Draw::Le2(d) => {
-            // Two-mask coloring: track i is on mask i mod 2; only mask B
-            // carries an overlay error (A is the reference).
-            let tracks = stack
-                .iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    let mask = i % 2;
-                    let width = t.width().to_f64() + d.cd_nm[mask];
-                    let shift = if mask == 1 { d.overlay_nm } else { 0.0 };
-                    let center = t.y_center().to_f64() + shift;
-                    PerturbedTrack::new(
-                        t.net(),
-                        center - width / 2.0,
-                        center + width / 2.0,
-                        t.length().to_f64(),
-                    )
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            PerturbedStack::new(tracks)
-        }
+        // Two-mask coloring: track i is on mask i mod 2; only mask B
+        // carries an overlay error (A is the reference).
+        Draw::Le2(d) => print_tracks(stack, |i, t| {
+            let mask = i % 2;
+            let shift = if mask == 1 { d.overlay_nm } else { 0.0 };
+            centered_edges(t, d.cd_nm[mask], shift)
+        }),
     }
 }
 
-/// Printed edges `(bottom, top)` of the mandrel at index `i` (center
-/// fixed, width grown by the core CD error).
-fn mandrel_edges(t: &Track, core_cd_nm: f64) -> (f64, f64) {
-    let width = t.width().to_f64() + core_cd_nm;
-    let center = t.y_center().to_f64();
+/// Prints every track of `stack` at the edges `(bottom, top)` that
+/// `edges(index, track)` gives, into one allocation. Labels are borrowed
+/// from `stack`.
+fn print_tracks<'a>(
+    stack: &'a TrackStack,
+    edges: impl Fn(usize, &Track) -> (f64, f64),
+) -> Result<PerturbedStack<'a>, LithoError> {
+    let mut printed = Vec::with_capacity(stack.len());
+    for (i, t) in stack.iter().enumerate() {
+        let (bottom, top) = edges(i, t);
+        printed.push(PerturbedTrack::new(
+            t.net(),
+            bottom,
+            top,
+            t.length().to_f64(),
+        )?);
+    }
+    PerturbedStack::new(printed)
+}
+
+/// Printed edges `(bottom, top)` of a track whose width grows by
+/// `cd_nm` around a center shifted by `shift_nm` (a mandrel is the
+/// unshifted case). The drawn center is an integer, so a zero shift
+/// leaves it bit-for-bit unchanged.
+fn centered_edges(t: &Track, cd_nm: f64, shift_nm: f64) -> (f64, f64) {
+    let width = t.width().to_f64() + cd_nm;
+    let center = t.y_center().to_f64() + shift_nm;
     (center - width / 2.0, center + width / 2.0)
 }
 
-fn apply_sadp(
-    stack: &TrackStack,
-    core_cd_nm: f64,
-    spacer_nm: f64,
-) -> Result<PerturbedStack, LithoError> {
-    if stack.is_empty() {
-        return Err(LithoError::UndecomposableStack {
-            reason: "empty stack".into(),
-        });
-    }
-    let tracks = stack.tracks();
-    let mut printed = Vec::with_capacity(tracks.len());
+/// Printed edges of the spacer-defined track at index `i`: the space
+/// left between the spacers grown on the mandrels either side.
+fn spacer_edges(tracks: &[Track], i: usize, core_cd_nm: f64, spacer_nm: f64) -> (f64, f64) {
+    let t = &tracks[i];
+    // Edge from the mandrel below (always exists: index 0 is a mandrel).
+    let below = &tracks[i - 1];
+    let spacer_below = below.spacing_to(t).to_f64() + spacer_nm;
+    let (_, below_top) = centered_edges(below, core_cd_nm, 0.0);
+    let bottom = below_top + spacer_below;
 
-    for (i, t) in tracks.iter().enumerate() {
-        match sadp_role_of(i) {
-            SadpRole::MandrelDefined => {
-                let (bottom, top) = mandrel_edges(t, core_cd_nm);
-                printed.push(PerturbedTrack::new(
-                    t.net(),
-                    bottom,
-                    top,
-                    t.length().to_f64(),
-                )?);
-            }
-            SadpRole::SpacerDefined => {
-                // Edge from the mandrel below (always exists: index 0 is
-                // a mandrel).
-                let below = &tracks[i - 1];
-                let spacer_below = below.spacing_to(t).to_f64() + spacer_nm;
-                let (_, below_top) = mandrel_edges(below, core_cd_nm);
-                let bottom = below_top + spacer_below;
-
-                // Edge from the mandrel above, real or periodic image.
-                let top = if let Some(above) = tracks.get(i + 1) {
-                    let spacer_above = t.spacing_to(above).to_f64() + spacer_nm;
-                    let (above_bottom, _) = mandrel_edges(above, core_cd_nm);
-                    above_bottom - spacer_above
-                } else {
-                    // Periodic image: reflect the mandrel below about this
-                    // track's drawn center.
-                    let t_center = t.y_center().to_f64();
-                    let below_center = below.y_center().to_f64();
-                    let image_center = 2.0 * t_center - below_center;
-                    let image_width = below.width().to_f64() + core_cd_nm;
-                    let image_bottom = image_center - image_width / 2.0;
-                    let spacer_above = t.spacing_to(below).to_f64() + spacer_nm;
-                    image_bottom - spacer_above
-                };
-
-                printed.push(PerturbedTrack::new(
-                    t.net(),
-                    bottom,
-                    top,
-                    t.length().to_f64(),
-                )?);
-            }
-        }
-    }
-    PerturbedStack::new(printed)
+    // Edge from the mandrel above, real or periodic image.
+    let top = if let Some(above) = tracks.get(i + 1) {
+        let spacer_above = t.spacing_to(above).to_f64() + spacer_nm;
+        let (above_bottom, _) = centered_edges(above, core_cd_nm, 0.0);
+        above_bottom - spacer_above
+    } else {
+        // Periodic image: reflect the mandrel below about this track's
+        // drawn center.
+        let t_center = t.y_center().to_f64();
+        let below_center = below.y_center().to_f64();
+        let image_center = 2.0 * t_center - below_center;
+        let image_width = below.width().to_f64() + core_cd_nm;
+        let image_bottom = image_center - image_width / 2.0;
+        let spacer_above = t.spacing_to(below).to_f64() + spacer_nm;
+        image_bottom - spacer_above
+    };
+    (bottom, top)
 }
 
 #[cfg(test)]

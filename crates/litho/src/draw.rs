@@ -59,6 +59,18 @@ pub enum Draw {
     Le2(Le2Draw),
 }
 
+/// Most scalar parameters any draw has (LE3: three CDs, three overlays).
+const MAX_PARAMETERS: usize = 6;
+
+/// Pads `params` into the fixed slots of [`Draw::parameter_slots`].
+fn slots<const N: usize>(
+    params: [(&'static str, f64); N],
+) -> ([(&'static str, f64); MAX_PARAMETERS], usize) {
+    let mut out = [("", 0.0); MAX_PARAMETERS];
+    out[..N].copy_from_slice(&params);
+    (out, N)
+}
+
 impl Draw {
     /// The patterning option this draw belongs to.
     pub fn option(&self) -> PatterningOption {
@@ -82,22 +94,30 @@ impl Draw {
 
     /// All scalar parameters of the draw, for diagnostics and tests.
     pub fn parameters(&self) -> Vec<(&'static str, f64)> {
+        let (slots, len) = self.parameter_slots();
+        slots[..len].to_vec()
+    }
+
+    /// The parameters in the first `len` of [`MAX_PARAMETERS`] slots.
+    /// Allocation-free, because [`validate`](Draw::validate) runs on
+    /// every print.
+    fn parameter_slots(&self) -> ([(&'static str, f64); MAX_PARAMETERS], usize) {
         match self {
-            Draw::Le3(d) => vec![
+            Draw::Le3(d) => slots([
                 ("cd_a", d.cd_nm[0]),
                 ("cd_b", d.cd_nm[1]),
                 ("cd_c", d.cd_nm[2]),
                 ("ol_a", d.overlay_nm[0]),
                 ("ol_b", d.overlay_nm[1]),
                 ("ol_c", d.overlay_nm[2]),
-            ],
-            Draw::Sadp(d) => vec![("cd_core", d.core_cd_nm), ("spacer", d.spacer_nm)],
-            Draw::Euv(d) => vec![("cd", d.cd_nm)],
-            Draw::Le2(d) => vec![
+            ]),
+            Draw::Sadp(d) => slots([("cd_core", d.core_cd_nm), ("spacer", d.spacer_nm)]),
+            Draw::Euv(d) => slots([("cd", d.cd_nm)]),
+            Draw::Le2(d) => slots([
                 ("cd_a", d.cd_nm[0]),
                 ("cd_b", d.cd_nm[1]),
                 ("ol_b", d.overlay_nm),
-            ],
+            ]),
         }
     }
 
@@ -140,7 +160,8 @@ impl Draw {
     ///
     /// [`LithoError::NonFiniteDraw`] naming the offending parameter.
     pub fn validate(&self) -> Result<(), LithoError> {
-        for (name, value) in self.parameters() {
+        let (slots, len) = self.parameter_slots();
+        for &(name, value) in &slots[..len] {
             if !value.is_finite() {
                 return Err(LithoError::NonFiniteDraw { name, value });
             }

@@ -1,4 +1,9 @@
 //! Printed (post-variation) track geometry in `f64` nanometres.
+//!
+//! Printed geometry borrows its net labels from the drawn
+//! [`TrackStack`](mpvar_geometry::TrackStack) it was printed from, so a
+//! print allocates one `Vec` of tracks and no label copies. Errors copy
+//! the label they name only when they are built.
 
 use crate::error::LithoError;
 
@@ -6,16 +11,16 @@ use crate::error::LithoError;
 ///
 /// Unlike the drawn [`Track`](mpvar_geometry::Track), printed geometry is
 /// real-valued: CD errors and overlay shifts are generally fractions of a
-/// nanometre per sigma.
+/// nanometre per sigma. The net label is borrowed from the drawn track.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PerturbedTrack {
-    net: String,
+pub struct PerturbedTrack<'a> {
+    net: &'a str,
     bottom_nm: f64,
     top_nm: f64,
     length_nm: f64,
 }
 
-impl PerturbedTrack {
+impl<'a> PerturbedTrack<'a> {
     /// Creates a printed track from its edges.
     ///
     /// # Errors
@@ -23,32 +28,18 @@ impl PerturbedTrack {
     /// [`LithoError::CollapsedLine`] when `top <= bottom`;
     /// [`LithoError::NonFiniteDraw`] for non-finite inputs.
     pub fn new(
-        net: impl Into<String>,
+        net: &'a str,
         bottom_nm: f64,
         top_nm: f64,
         length_nm: f64,
     ) -> Result<Self, LithoError> {
-        let net = net.into();
-        for (name, v) in [
-            ("bottom_nm", bottom_nm),
-            ("top_nm", top_nm),
-            ("length_nm", length_nm),
-        ] {
-            if !v.is_finite() {
-                return Err(LithoError::NonFiniteDraw { name, value: v });
-            }
-        }
-        if top_nm <= bottom_nm {
-            return Err(LithoError::CollapsedLine {
-                net,
-                width_nm: top_nm - bottom_nm,
-            });
-        }
-        if length_nm <= 0.0 {
-            return Err(LithoError::CollapsedLine {
-                net,
-                width_nm: length_nm,
-            });
+        let valid = bottom_nm.is_finite()
+            && top_nm.is_finite()
+            && length_nm.is_finite()
+            && top_nm > bottom_nm
+            && length_nm > 0.0;
+        if !valid {
+            return Err(invalid_track(net, bottom_nm, top_nm, length_nm));
         }
         Ok(Self {
             net,
@@ -58,9 +49,9 @@ impl PerturbedTrack {
         })
     }
 
-    /// Net label.
-    pub fn net(&self) -> &str {
-        &self.net
+    /// Net label, borrowed from the drawn track.
+    pub fn net(&self) -> &'a str {
+        self.net
     }
 
     /// Bottom edge, nm.
@@ -89,6 +80,30 @@ impl PerturbedTrack {
     }
 }
 
+/// The error [`PerturbedTrack::new`] reports for edges that fail its
+/// checks, kept off the print loop's path.
+#[cold]
+fn invalid_track(net: &str, bottom_nm: f64, top_nm: f64, length_nm: f64) -> LithoError {
+    for (name, value) in [
+        ("bottom_nm", bottom_nm),
+        ("top_nm", top_nm),
+        ("length_nm", length_nm),
+    ] {
+        if !value.is_finite() {
+            return LithoError::NonFiniteDraw { name, value };
+        }
+    }
+    let width_nm = if top_nm <= bottom_nm {
+        top_nm - bottom_nm
+    } else {
+        length_nm
+    };
+    LithoError::CollapsedLine {
+        net: net.to_string(),
+        width_nm,
+    }
+}
+
 /// An ordered stack of printed tracks (bottom to top).
 ///
 /// # Example
@@ -106,11 +121,11 @@ impl PerturbedTrack {
 /// # Ok::<(), mpvar_litho::LithoError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct PerturbedStack {
-    tracks: Vec<PerturbedTrack>,
+pub struct PerturbedStack<'a> {
+    tracks: Vec<PerturbedTrack<'a>>,
 }
 
-impl PerturbedStack {
+impl<'a> PerturbedStack<'a> {
     /// Creates a stack, validating bottom-to-top ordering and positive
     /// gaps (a non-positive gap is a printed short).
     ///
@@ -118,7 +133,7 @@ impl PerturbedStack {
     ///
     /// [`LithoError::ShortedLines`] when adjacent printed tracks touch or
     /// overlap.
-    pub fn new(tracks: Vec<PerturbedTrack>) -> Result<Self, LithoError> {
+    pub fn new(tracks: Vec<PerturbedTrack<'a>>) -> Result<Self, LithoError> {
         for w in tracks.windows(2) {
             let gap = w[1].bottom_nm() - w[0].top_nm();
             if gap <= 0.0 {
@@ -133,7 +148,7 @@ impl PerturbedStack {
     }
 
     /// The printed tracks, bottom to top.
-    pub fn tracks(&self) -> &[PerturbedTrack] {
+    pub fn tracks(&self) -> &[PerturbedTrack<'a>] {
         &self.tracks
     }
 
@@ -152,7 +167,7 @@ impl PerturbedStack {
     /// # Panics
     ///
     /// Panics when out of range.
-    pub fn track(&self, i: usize) -> &PerturbedTrack {
+    pub fn track(&self, i: usize) -> &PerturbedTrack<'a> {
         &self.tracks[i]
     }
 
@@ -178,14 +193,14 @@ impl PerturbedStack {
     }
 
     /// Iterator over tracks.
-    pub fn iter(&self) -> std::slice::Iter<'_, PerturbedTrack> {
+    pub fn iter(&self) -> std::slice::Iter<'_, PerturbedTrack<'a>> {
         self.tracks.iter()
     }
 }
 
-impl<'a> IntoIterator for &'a PerturbedStack {
-    type Item = &'a PerturbedTrack;
-    type IntoIter = std::slice::Iter<'a, PerturbedTrack>;
+impl<'s, 'a> IntoIterator for &'s PerturbedStack<'a> {
+    type Item = &'s PerturbedTrack<'a>;
+    type IntoIter = std::slice::Iter<'s, PerturbedTrack<'a>>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.tracks.iter()
@@ -196,7 +211,7 @@ impl<'a> IntoIterator for &'a PerturbedStack {
 mod tests {
     use super::*;
 
-    fn t(net: &str, bottom: f64, top: f64) -> PerturbedTrack {
+    fn t(net: &str, bottom: f64, top: f64) -> PerturbedTrack<'_> {
         PerturbedTrack::new(net, bottom, top, 1000.0).unwrap()
     }
 

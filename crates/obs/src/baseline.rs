@@ -17,6 +17,8 @@
 //!  "checks":[
 //!    {"name":"solver-self-share","kind":"share_window",
 //!     "span":"spice_transient","min":0.05,"max":0.9},
+//!    {"name":"executor-self-share","kind":"share_window",
+//!     "span":["exec_par_map","exec_chunk"],"min":0.5,"max":1},
 //!    {"name":"lu-reuse-present","kind":"counter_min",
 //!     "counter":"spice.lu_symbolic_reuses","min":1},
 //!    {"name":"symbolic-rebuild-rate","kind":"counter_ratio_max",
@@ -24,7 +26,9 @@
 //!     "max":0.1}]}
 //! ```
 
-use mpvar_trace::json::{get_f64, get_str, get_u64, parse_json, push_json_str, Json};
+use mpvar_trace::json::{
+    get_f64, get_str, get_str_array, get_u64, parse_json, push_json_str, Json, Obj,
+};
 use mpvar_trace::schema::TraceLog;
 
 use crate::analytics::profile;
@@ -36,12 +40,13 @@ pub const BASELINE_SCHEMA_ID: &str = "mpvar-perf-baseline/v1";
 /// What one named check asserts.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CheckKind {
-    /// The span name's share of total self time must sit in
-    /// `[min, max]`. A missing span counts as share 0 — and fails
-    /// unless `min` is 0.
+    /// The summed share of total self time of the named spans must sit
+    /// in `[min, max]`. A missing span counts as share 0 — and fails
+    /// unless `min` is 0. In JSON, `span` is one name or an array of
+    /// distinct names.
     ShareWindow {
-        /// Span name the share is computed for.
-        span: String,
+        /// Span names whose shares are summed (at least one, distinct).
+        spans: Vec<String>,
         /// Inclusive lower share bound, `[0, 1]`.
         min: f64,
         /// Inclusive upper share bound, `[0, 1]`.
@@ -135,7 +140,7 @@ impl PerfBaseline {
                                 )));
                             }
                             CheckKind::ShareWindow {
-                                span: get_str(entry, "span").map_err(within)?.to_string(),
+                                spans: parse_spans(entry).map_err(within)?,
                                 min,
                                 max,
                             }
@@ -182,9 +187,20 @@ impl PerfBaseline {
             out.push_str("{\"name\":");
             push_json_str(&mut out, &check.name);
             match &check.kind {
-                CheckKind::ShareWindow { span, min, max } => {
+                CheckKind::ShareWindow { spans, min, max } => {
                     out.push_str(",\"kind\":\"share_window\",\"span\":");
-                    push_json_str(&mut out, span);
+                    if let [span] = spans.as_slice() {
+                        push_json_str(&mut out, span);
+                    } else {
+                        out.push('[');
+                        for (i, span) in spans.iter().enumerate() {
+                            if i > 0 {
+                                out.push(',');
+                            }
+                            push_json_str(&mut out, span);
+                        }
+                        out.push(']');
+                    }
                     out.push_str(&format!(",\"min\":{min},\"max\":{max}"));
                 }
                 CheckKind::CounterMin { counter, min } => {
@@ -205,6 +221,24 @@ impl PerfBaseline {
         out.push_str("\n ]}\n");
         out
     }
+}
+
+/// The `span` field of a `share_window` check: one name or an array of
+/// distinct names.
+fn parse_spans(entry: &Obj) -> Result<Vec<String>, String> {
+    let spans = match entry.get("span") {
+        Some(Json::Arr(_)) => get_str_array(entry, "span")?,
+        _ => vec![get_str(entry, "span")?.to_string()],
+    };
+    if spans.is_empty() {
+        return Err("`span` must name at least one span".into());
+    }
+    for (i, span) in spans.iter().enumerate() {
+        if spans[..i].contains(span) {
+            return Err(format!("`span` names `{span}` twice"));
+        }
+    }
+    Ok(spans)
 }
 
 /// One evaluated check.
@@ -258,12 +292,20 @@ pub fn check(baseline: &PerfBaseline, log: &TraceLog) -> Result<PerfReport, ObsE
         .iter()
         .map(|c| {
             let (passed, detail) = match &c.kind {
-                CheckKind::ShareWindow { span, min, max } => {
-                    let share = profile.aggregate(span).map(|a| a.share).unwrap_or(0.0);
+                CheckKind::ShareWindow { spans, min, max } => {
+                    let share: f64 = spans
+                        .iter()
+                        .map(|span| profile.aggregate(span).map_or(0.0, |a| a.share))
+                        .sum();
+                    let named = spans
+                        .iter()
+                        .map(|span| format!("`{span}`"))
+                        .collect::<Vec<_>>()
+                        .join(" + ");
                     (
                         (*min..=*max).contains(&share),
                         format!(
-                            "span `{span}` self-time share {:.1}% (window {:.1}%..{:.1}%)",
+                            "span {named} self-time share {:.1}% (window {:.1}%..{:.1}%)",
                             share * 100.0,
                             min * 100.0,
                             max * 100.0
@@ -341,7 +383,7 @@ mod tests {
                 PerfCheck {
                     name: "solver-share".into(),
                     kind: CheckKind::ShareWindow {
-                        span: "work".into(),
+                        spans: vec!["work".into()],
                         min: 0.5,
                         max: 0.95,
                     },

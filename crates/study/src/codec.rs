@@ -293,7 +293,7 @@ fn put_parasitics(out: &mut Vec<u8>, w: &WireParasitics) {
     put_f64(out, w.c_couple_above_f());
 }
 
-fn read_parasitics(r: &mut Reader<'_>) -> Result<WireParasitics, CodecError> {
+fn read_parasitics(r: &mut Reader<'_>) -> Result<WireParasitics<'static>, CodecError> {
     Ok(WireParasitics::from_parts(
         r.string()?,
         r.f64()?,
@@ -905,7 +905,7 @@ fn read_option_rows(
 mod tests {
     use super::*;
 
-    fn parasitics(net: &str) -> WireParasitics {
+    fn parasitics(net: &str) -> WireParasitics<'static> {
         WireParasitics::from_parts(net.to_string(), 1024.0, 812.5, 1.5e-16, 2.5e-17, 3.5e-17)
     }
 

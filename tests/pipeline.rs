@@ -137,7 +137,9 @@ fn central_pair_is_free_of_edge_effects() {
         let stack = cell.column_stack(pairs, active, 4).expect("stack builds");
         let printed = apply_draw(&stack, &Draw::nominal(PatterningOption::Euv)).expect("prints");
         let bl = printed.index_of_net("BL").expect("bl exists");
-        extract_track(&printed, bl, m1).expect("extracts")
+        extract_track(&printed, bl, m1)
+            .expect("extracts")
+            .into_owned()
     };
 
     let central_10 = extract_bl(10, 5);
