@@ -10,8 +10,8 @@
 //! * [`ExecConfig`] — the single thread-count knob, threaded through
 //!   `McConfig` and `ExperimentContext` in `mpvar-core`;
 //! * [`par_map_indexed`] / [`try_par_map_indexed`] — map a function
-//!   over an indexed domain on a scoped worker pool, with results
-//!   placed by index so the output never depends on scheduling;
+//!   over an indexed domain, with results placed by index so the
+//!   output never depends on scheduling;
 //! * [`try_par_map_range`] — the same over an index range, used to
 //!   farm RNG-substream indices in chunks;
 //! * [`dispatch_rounds`] — the round-based dispatch engine shared by
@@ -26,14 +26,39 @@
 //! # Determinism contract
 //!
 //! All primitives guarantee: for a pure `f`, the returned vector equals
-//! the sequential `(0..n).map(f).collect()` — workers own disjoint
-//! contiguous output slices, so no result ever moves between indices.
-//! For fallible maps the *lowest-index* error is returned, matching
-//! what a sequential loop would have hit first. `threads == 1` runs
-//! inline on the calling thread with zero overhead.
+//! the sequential `(0..n).map(f).collect()` — each chunk owns a
+//! disjoint contiguous output slice, so no result ever moves between
+//! indices. For fallible maps the *lowest-index* error is returned,
+//! matching what a sequential loop would have hit first. `threads == 1`
+//! runs inline on the calling thread with zero overhead.
 //!
-//! The pool is a scoped `std::thread` fork-join (no work stealing):
-//! chunk boundaries depend only on `(n, threads)`, never on timing.
+//! # One process-wide core budget
+//!
+//! A map's `threads` is its partition width and its cap on workers:
+//! the chunks are always `chunk_ranges(n, threads)`. *Who* runs them is
+//! decided by one budget shared by the whole process, which holds
+//! `available_parallelism() − 1` helper slots (the calling thread is
+//! not counted):
+//!
+//! * a map takes as many free slots as it can without blocking, up to
+//!   `threads − 1`, spawns one scoped helper thread per slot, and runs
+//!   its chunks on the caller plus those helpers, each claiming the next
+//!   chunk from an atomic counter — possibly no helpers at all, in which
+//!   case the caller runs every chunk itself;
+//! * a caller that runs out of chunks while its helpers still work
+//!   *lends* its own slot to the budget for the wait, so the idle core
+//!   goes to whichever map asks next — typically the next round of a
+//!   long node running elsewhere — and takes over its last helper's
+//!   slot when that helper exits;
+//! * nested maps and concurrent callers (Study waves, service requests)
+//!   draw on the same budget, so however deeply calls nest, no more than
+//!   `available_parallelism() − 1` helpers run beside the callers.
+//!
+//! Every slot is returned by a drop guard: a helper that panics gives
+//! its slot back and the caller re-raises the original panic payload; a
+//! helper that fails to spawn gives its slot back and the caller runs
+//! the chunks instead. Scheduling never feeds back into the result —
+//! which chunk a thread claims changes only where it runs.
 //!
 //! The same ownership discipline extends to solver state: the compiled
 //! SPICE kernel's per-netlist workspaces (symbolic LU analysis, CSR
@@ -46,18 +71,23 @@
 //! # Observability
 //!
 //! When an `mpvar-trace` collector is installed, every map emits an
-//! `exec_par_map` span with one `exec_chunk` child per worker chunk
-//! (explicitly parented, since workers start with an empty span
-//! stack), plus an `exec.chunks` counter and an `exec.imbalance` gauge
-//! (slowest-chunk wall over mean-chunk wall). Instrumentation only
-//! observes — chunk boundaries and result placement are unchanged, so
-//! traced runs stay bit-identical to untraced ones.
+//! `exec_par_map` span (fields `n`, `threads` — the partition width —
+//! and `workers`, the caller plus the helpers it acquired) with one
+//! `exec_chunk` child per chunk of a `threads > 1` map, whichever
+//! thread ran it (explicitly parented, since helpers start with an
+//! empty span stack), plus an `exec.chunks` counter and an
+//! `exec.imbalance` gauge (slowest-chunk wall over mean-chunk wall).
+//! Instrumentation only observes — chunk boundaries and result
+//! placement are unchanged, so traced runs stay bit-identical to
+//! untraced ones.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 use std::num::NonZeroUsize;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
 
 use mpvar_trace::{names, SpanGuard};
 
@@ -67,7 +97,8 @@ use mpvar_trace::{names, SpanGuard};
 /// `Some(1)` recovers the exact sequential code path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExecConfig {
-    /// Worker-thread count; `None` means [`available_parallelism`].
+    /// Per-call cap on workers (caller plus helpers) and the chunk
+    /// partition width; `None` means [`available_parallelism`].
     pub threads: Option<usize>,
 }
 
@@ -92,21 +123,6 @@ impl ExecConfig {
     /// The number of workers this configuration resolves to.
     pub fn effective_threads(&self) -> usize {
         self.threads.unwrap_or_else(available_parallelism).max(1)
-    }
-
-    /// Splits the budget between an outer loop of `cells` independent
-    /// cells and the parallel work inside each cell.
-    ///
-    /// Returns `(outer_threads, inner_config)` such that
-    /// `outer * inner <= effective_threads()` (both at least 1). Cell
-    /// results must still be placed by index; because the inner
-    /// primitives are bit-identical for *any* thread count, the split
-    /// never changes results — it only avoids oversubscription.
-    pub fn split(&self, cells: usize) -> (usize, ExecConfig) {
-        let total = self.effective_threads();
-        let outer = total.min(cells.max(1));
-        let inner = (total / outer).max(1);
-        (outer, ExecConfig::with_threads(inner))
     }
 }
 
@@ -140,8 +156,207 @@ pub fn chunk_ranges(n: usize, chunks: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Maps `f` over `items` on `threads` workers; results are in item
-/// order, exactly as the sequential map would produce them.
+/// The process-wide count of free helper slots. It is a pure count that
+/// publishes no other data (chunk results travel through the helpers'
+/// joins), so its orderings only need to keep the count itself exact.
+fn free_slots() -> &'static AtomicUsize {
+    static FREE: OnceLock<AtomicUsize> = OnceLock::new();
+    FREE.get_or_init(|| AtomicUsize::new(available_parallelism() - 1))
+}
+
+/// Takes up to `want` free helper slots without blocking and returns
+/// how many it got.
+fn acquire_slots(want: usize) -> usize {
+    free_slots()
+        .fetch_update(Ordering::AcqRel, Ordering::Relaxed, |free| {
+            (free > 0).then(|| free - free.min(want))
+        })
+        .map_or(0, |free| free.min(want))
+}
+
+fn release_slot() {
+    free_slots().fetch_add(1, Ordering::AcqRel);
+}
+
+/// Locks `mutex`, ignoring poisoning: nothing panics while holding one
+/// of this crate's locks, and the guarded counts stay valid regardless.
+fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A map's helpers as seen by its caller.
+struct Crew {
+    state: Mutex<CrewState>,
+    idle: Condvar,
+}
+
+struct CrewState {
+    /// Helpers that have not exited yet.
+    running: usize,
+    /// Whether the caller has lent its slot while it waits for them.
+    lent: bool,
+}
+
+impl Crew {
+    fn new(helpers: usize) -> Self {
+        Crew {
+            state: Mutex::new(CrewState {
+                running: helpers,
+                lent: false,
+            }),
+            idle: Condvar::new(),
+        }
+    }
+
+    /// Blocks until every helper has exited, lending the caller's slot
+    /// to the budget meanwhile.
+    fn wait_lending(&self) {
+        let mut state = lock(&self.state);
+        if state.running == 0 {
+            return;
+        }
+        state.lent = true;
+        release_slot();
+        while state.running > 0 {
+            state = self
+                .idle
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// Owned by one helper: dropped when it exits — normally, by panic, or
+/// unspawned when its spawn failed — and hands its slot back.
+struct HelperExit<'a>(&'a Crew);
+
+impl Drop for HelperExit<'_> {
+    fn drop(&mut self) {
+        let mut state = lock(&self.0.state);
+        state.running -= 1;
+        if state.running == 0 && state.lent {
+            // The waiting caller resumes on this slot, which cancels the
+            // one it lent.
+            state.lent = false;
+        } else {
+            release_slot();
+        }
+        self.0.idle.notify_one();
+    }
+}
+
+/// The engine under every primitive: runs `run` over the
+/// `chunk_ranges(n, threads)` partition of `0..n` on the caller plus
+/// the helpers the budget can spare, and concatenates the chunk results
+/// in chunk order. The earliest failed chunk's error wins; a panicking
+/// chunk's payload is re-raised on the caller.
+fn par_chunks<U, E, F>(n: usize, threads: usize, run: F) -> Result<Vec<U>, E>
+where
+    U: Send,
+    E: Send,
+    F: Fn(Range<usize>) -> Result<Vec<U>, E> + Sync,
+{
+    let threads = threads.max(1).min(n.max(1));
+    if threads <= 1 {
+        let _map_span = mpvar_trace::span!(
+            names::SPAN_EXEC_PAR_MAP,
+            n = n,
+            threads = threads,
+            workers = 1usize
+        );
+        return if n == 0 { Ok(Vec::new()) } else { run(0..n) };
+    }
+
+    let ranges = chunk_ranges(n, threads);
+    let helpers = acquire_slots(ranges.len() - 1);
+    let traced = mpvar_trace::enabled();
+    let map_span = mpvar_trace::span!(
+        names::SPAN_EXEC_PAR_MAP,
+        n = n,
+        threads = threads,
+        workers = 1 + helpers
+    );
+    let parent = map_span.id();
+    // The next unclaimed chunk; `Relaxed` suffices because each claim
+    // only has to be unique, and the results come back through joins.
+    let next = AtomicUsize::new(0);
+    // Claims and runs chunks until none are left. Each outcome carries
+    // its chunk index and wall time in ns (0 untraced) — observation
+    // only, it never feeds back into the computation.
+    let drain = || {
+        let mut done = Vec::new();
+        loop {
+            let c = next.fetch_add(1, Ordering::Relaxed);
+            let Some(range) = ranges.get(c) else {
+                return done;
+            };
+            let _chunk_span = if traced {
+                SpanGuard::enter_with_parent(
+                    parent,
+                    names::SPAN_EXEC_CHUNK,
+                    vec![
+                        ("chunk", c.into()),
+                        ("start", range.start.into()),
+                        ("len", range.len().into()),
+                    ],
+                )
+            } else {
+                SpanGuard::disabled()
+            };
+            let started = traced.then(std::time::Instant::now);
+            let result = run(range.clone());
+            let dur_ns = started.map_or(0, |t| t.elapsed().as_nanos() as u64);
+            done.push((c, result, dur_ns));
+        }
+    };
+    let crew = Crew::new(helpers);
+    let (mine, theirs) = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..helpers)
+            .filter_map(|_| {
+                let exit = HelperExit(&crew);
+                // A failed spawn drops the closure, and `exit` with it,
+                // so the slot goes back and the caller runs the chunks.
+                std::thread::Builder::new()
+                    .spawn_scoped(scope, move || {
+                        let _exit = exit;
+                        drain()
+                    })
+                    .ok()
+            })
+            .collect();
+        let mine = drain();
+        crew.wait_lending();
+        let theirs: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        (mine, theirs)
+    });
+
+    let mut chunks = mine;
+    for outcomes in theirs {
+        chunks.extend(outcomes.unwrap_or_else(|payload| std::panic::resume_unwind(payload)));
+    }
+    chunks.sort_unstable_by_key(|&(c, _, _)| c);
+
+    if traced {
+        mpvar_trace::counter_add(names::EXEC_CHUNKS, chunks.len() as u64);
+        let slowest = chunks.iter().map(|(_, _, d)| *d).max().unwrap_or(0) as f64;
+        let mean =
+            chunks.iter().map(|(_, _, d)| *d).sum::<u64>() as f64 / chunks.len().max(1) as f64;
+        if mean > 0.0 {
+            mpvar_trace::gauge_set(names::EXEC_IMBALANCE, slowest / mean);
+        }
+    }
+
+    // Chunks are in index order, so the first failed chunk holds the
+    // lowest-index error (each chunk stops at its first failure).
+    let mut out = Vec::with_capacity(n);
+    for (_, result, _) in chunks {
+        out.extend(result?);
+    }
+    Ok(out)
+}
+
+/// Maps `f` over `items` on up to `threads` workers; results are in
+/// item order, exactly as the sequential map would produce them.
 pub fn par_map_indexed<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
 where
     T: Sync,
@@ -154,13 +369,13 @@ where
     .unwrap_or_else(|e| match e {})
 }
 
-/// Maps a fallible `f` over `items` on `threads` workers.
+/// Maps a fallible `f` over `items` on up to `threads` workers.
 ///
 /// On success results are in item order. On failure the error with the
 /// *lowest item index* is returned — the same error a sequential loop
 /// would have surfaced first — regardless of which worker finished
-/// first. Workers in later chunks may still run their items; `f` must
-/// therefore be side-effect free (it is in every mpvar hot path).
+/// first. Later chunks may still run their items; `f` must therefore be
+/// side-effect free (it is in every mpvar hot path).
 ///
 /// # Errors
 ///
@@ -175,7 +390,7 @@ where
     try_par_map_range(items.len(), threads, |i| f(i, &items[i]))
 }
 
-/// Maps a fallible `f` over the index range `0..n` on `threads`
+/// Maps a fallible `f` over the index range `0..n` on up to `threads`
 /// workers, with the same ordering and error guarantees as
 /// [`try_par_map_indexed`].
 ///
@@ -192,94 +407,12 @@ where
     E: Send,
     F: Fn(usize) -> Result<U, E> + Sync,
 {
-    let threads = threads.max(1).min(n.max(1));
-    let traced = mpvar_trace::enabled();
-    let map_span = mpvar_trace::span!(names::SPAN_EXEC_PAR_MAP, n = n, threads = threads);
-    if threads <= 1 {
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            out.push(f(i)?);
-        }
-        return Ok(out);
-    }
-
-    // One worker's output: its chunk's result buffer (or the first
-    // failing index + error) paired with the chunk's wall time in ns
-    // (0 untraced) — observation only, it never feeds back into the
-    // computation.
-    type ChunkOutcome<U, E> = (Result<Vec<U>, (usize, E)>, u64);
-
-    let ranges = chunk_ranges(n, threads);
-    let parent = map_span.id();
-    // Per-worker result buffers; chunk c owns output indices ranges[c].
-    let results: Vec<ChunkOutcome<U, E>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .enumerate()
-            .map(|(c, range)| {
-                let range = range.clone();
-                let f = &f;
-                scope.spawn(move || {
-                    let _chunk_span = if traced {
-                        SpanGuard::enter_with_parent(
-                            parent,
-                            names::SPAN_EXEC_CHUNK,
-                            vec![
-                                ("chunk", c.into()),
-                                ("start", range.start.into()),
-                                ("len", range.len().into()),
-                            ],
-                        )
-                    } else {
-                        SpanGuard::disabled()
-                    };
-                    let started = traced.then(std::time::Instant::now);
-                    let result = (|| {
-                        let mut buf = Vec::with_capacity(range.len());
-                        for i in range.clone() {
-                            match f(i) {
-                                Ok(v) => buf.push(v),
-                                Err(e) => return Err((i, e)),
-                            }
-                        }
-                        Ok(buf)
-                    })();
-                    let dur_ns = started.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                    (result, dur_ns)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("mpvar-exec worker panicked"))
-            .collect()
-    });
-
-    if traced {
-        mpvar_trace::counter_add(names::EXEC_CHUNKS, results.len() as u64);
-        let slowest = results.iter().map(|(_, d)| *d).max().unwrap_or(0) as f64;
-        let mean =
-            results.iter().map(|(_, d)| *d).sum::<u64>() as f64 / results.len().max(1) as f64;
-        if mean > 0.0 {
-            mpvar_trace::gauge_set(names::EXEC_IMBALANCE, slowest / mean);
-        }
-    }
-
-    // Chunks are in index order, so the first failed chunk holds the
-    // lowest-index error (each worker stops at its first failure).
-    let mut out = Vec::with_capacity(n);
-    for (result, _) in results {
-        match result {
-            Ok(buf) => out.extend(buf),
-            Err((_, e)) => return Err(e),
-        }
-    }
-    Ok(out)
+    par_chunks(n, threads, |range| range.map(&f).collect())
 }
 
-/// Maps a fallible *chunk* function over the index range `0..n` on
-/// `threads` workers: `f` receives each worker's whole contiguous range
-/// (the [`chunk_ranges`] partition) and returns one result per index.
+/// Maps a fallible *chunk* function over the index range `0..n` on up
+/// to `threads` workers: `f` receives each whole contiguous chunk (the
+/// [`chunk_ranges`] partition) and returns one result per index.
 ///
 /// This is the batched-solver dispatch primitive: handing a worker its
 /// entire chunk at once lets it run the indices through shared
@@ -303,77 +436,12 @@ where
     E: Send,
     F: Fn(Range<usize>) -> Result<Vec<U>, E> + Sync,
 {
-    let threads = threads.max(1).min(n.max(1));
-    let traced = mpvar_trace::enabled();
-    let map_span = mpvar_trace::span!(names::SPAN_EXEC_PAR_MAP, n = n, threads = threads);
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    if threads <= 1 {
-        let out = f(0..n)?;
-        assert_eq!(out.len(), n, "chunk map must return one result per index");
-        return Ok(out);
-    }
-
-    type ChunkOutcome<U, E> = (Result<Vec<U>, E>, u64);
-
-    let ranges = chunk_ranges(n, threads);
-    let parent = map_span.id();
-    let results: Vec<ChunkOutcome<U, E>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .enumerate()
-            .map(|(c, range)| {
-                let range = range.clone();
-                let f = &f;
-                scope.spawn(move || {
-                    let _chunk_span = if traced {
-                        SpanGuard::enter_with_parent(
-                            parent,
-                            names::SPAN_EXEC_CHUNK,
-                            vec![
-                                ("chunk", c.into()),
-                                ("start", range.start.into()),
-                                ("len", range.len().into()),
-                            ],
-                        )
-                    } else {
-                        SpanGuard::disabled()
-                    };
-                    let started = traced.then(std::time::Instant::now);
-                    let len = range.len();
-                    let result = f(range);
-                    if let Ok(buf) = &result {
-                        assert_eq!(buf.len(), len, "chunk map must return one result per index");
-                    }
-                    let dur_ns = started.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                    (result, dur_ns)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("mpvar-exec worker panicked"))
-            .collect()
-    });
-
-    if traced {
-        mpvar_trace::counter_add(names::EXEC_CHUNKS, results.len() as u64);
-        let slowest = results.iter().map(|(_, d)| *d).max().unwrap_or(0) as f64;
-        let mean =
-            results.iter().map(|(_, d)| *d).sum::<u64>() as f64 / results.len().max(1) as f64;
-        if mean > 0.0 {
-            mpvar_trace::gauge_set(names::EXEC_IMBALANCE, slowest / mean);
-        }
-    }
-
-    // Chunks are in index order, so the first failed chunk is the
-    // earliest failure.
-    let mut out = Vec::with_capacity(n);
-    for (result, _) in results {
-        out.extend(result?);
-    }
-    Ok(out)
+    par_chunks(n, threads, |range| {
+        let len = range.len();
+        let out = f(range)?;
+        assert_eq!(out.len(), len, "chunk map must return one result per index");
+        Ok(out)
+    })
 }
 
 /// How a [`dispatch_rounds`] loop ended.
@@ -400,9 +468,9 @@ pub enum RoundsOutcome {
 ///    [`RoundsOutcome::Converged`]. The driver clamps the size to the
 ///    remaining budget; once `limit` indices have been consumed the
 ///    loop ends as [`RoundsOutcome::Exhausted`].
-/// 2. The round `[consumed, consumed + size)` runs on `threads` workers;
-///    `eval_chunk` receives contiguous sub-ranges in **global** index
-///    coordinates (so index `k` can key RNG substream `k`).
+/// 2. The round `[consumed, consumed + size)` runs on up to `threads`
+///    workers; `eval_chunk` receives contiguous sub-ranges in **global**
+///    index coordinates (so index `k` can key RNG substream `k`).
 /// 3. `consume(state, outcome)` folds each outcome sequentially in
 ///    index order; breaking ends the loop as `Converged`.
 ///
@@ -711,19 +779,6 @@ mod tests {
         assert_eq!(ExecConfig::with_threads(0).effective_threads(), 1);
         assert_eq!(ExecConfig::with_threads(6).effective_threads(), 6);
         assert!(ExecConfig::default().effective_threads() >= 1);
-    }
-
-    #[test]
-    fn split_never_oversubscribes() {
-        for total in [1usize, 2, 4, 8, 16] {
-            let cfg = ExecConfig::with_threads(total);
-            for cells in [1usize, 2, 3, 5, 100] {
-                let (outer, inner) = cfg.split(cells);
-                assert!(outer >= 1 && inner.effective_threads() >= 1);
-                assert!(outer * inner.effective_threads() <= total);
-                assert!(outer <= cells.max(1));
-            }
-        }
     }
 
     #[test]

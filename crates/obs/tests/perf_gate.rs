@@ -1,8 +1,8 @@
 //! The perf gate's multi-span share windows: a `share_window` check may
 //! name several spans and gates their summed self-time share, so an
-//! executor whose self time moves between `exec_par_map` (maps run
-//! inline) and `exec_chunk` (maps run on workers) with the thread split
-//! keeps one verdict.
+//! executor whose self time moves between `exec_par_map` (serial maps
+//! run inline) and `exec_chunk` (chunks of parallel maps) with the
+//! thread count keeps one verdict.
 
 use std::collections::BTreeMap;
 

@@ -260,7 +260,7 @@ fn experiment_context_runs_are_repeatable() {
 fn check_report_identical_across_thread_counts() {
     // The whole `repro -- check` verdict pass — golden gate, shape
     // invariants, differential oracles — must render the exact same
-    // report whether the experiment stages run serial or on four
+    // report whether the experiment stages run serial or on 2, 4 or 8
     // workers. Reduced trials keep this test cheap; statistical golden
     // bands are calibrated for the real profiles, so the assertion here
     // is report *equality*, not that every item passes.
@@ -273,7 +273,12 @@ fn check_report_identical_across_thread_counts() {
         ..CheckOptions::new(true)
     };
     let serial = run_check(&opts(1)).expect("check runs serial");
-    let four = run_check(&opts(4)).expect("check runs on 4 threads");
-    assert_eq!(serial, four, "check verdicts depend on thread count");
-    assert_eq!(serial.render(), four.render());
+    for threads in [2, 4, 8] {
+        let parallel = run_check(&opts(threads)).expect("check runs in parallel");
+        assert_eq!(
+            serial, parallel,
+            "check verdicts depend on thread count ({threads})"
+        );
+        assert_eq!(serial.render(), parallel.render());
+    }
 }

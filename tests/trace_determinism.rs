@@ -11,6 +11,7 @@ use std::sync::Arc;
 
 use mpvar::core::experiments::ExperimentContext;
 use mpvar::study::{ArtifactId, Study};
+use mpvar::trace::schema::FieldScalar;
 use mpvar::trace::{names, validate_jsonl, Collector, JsonlSink};
 
 /// A deliberately tiny context so the full dependency chain (table1 →
@@ -82,16 +83,31 @@ fn traced_run_is_bit_identical_and_emits_valid_jsonl() {
             );
         }
         if threads > 1 {
-            // Worker chunks (and the imbalance gauge) only exist on the
-            // parallel path; a 1-thread run stays on the serial
-            // reference path by design.
+            // Chunk spans (and the chunk counter) exist on the parallel
+            // path whoever runs the chunks — the caller alone when the
+            // core budget has no helper to spare, as on a 1-core host;
+            // a 1-thread run stays on the serial reference path.
             assert!(
                 log.counters.contains_key(names::EXEC_CHUNKS),
                 "chunk counter missing at {threads} threads"
             );
             assert!(
                 span_names.contains(&names::SPAN_EXEC_CHUNK),
-                "no worker chunk spans at {threads} threads"
+                "no chunk spans at {threads} threads"
+            );
+        }
+        // Every map reports its partition width and how many workers
+        // (caller plus acquired helpers) actually ran it; helpers are
+        // never assumed to exist.
+        for map in log.spans_named(names::SPAN_EXEC_PAR_MAP) {
+            let field = |key: &str| match map.fields.get(key) {
+                Some(FieldScalar::Num(v)) => *v,
+                other => panic!("exec_par_map `{key}` is {other:?}"),
+            };
+            let (width, workers) = (field("threads"), field("workers"));
+            assert!(
+                (1.0..=width).contains(&workers) && width <= threads as f64,
+                "{workers} workers on a {width}-wide map at {threads} threads"
             );
         }
         assert!(
