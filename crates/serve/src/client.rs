@@ -66,6 +66,9 @@ impl Client {
     /// Connection failures.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<Client> {
         let writer = TcpStream::connect(addr)?;
+        // Pipelined requests are back-to-back writes; Nagle would hold
+        // each one behind the server's delayed ACK of the last.
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(Client { reader, writer })
     }

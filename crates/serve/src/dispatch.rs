@@ -196,19 +196,18 @@ impl Dispatcher {
             let mut active = self.active.lock().expect("dispatcher active lock poisoned");
             *active += 1;
         }
+        // Without a thread of its own the wave runs here: slower for
+        // this caller, but every waiter is answered and `active` drops.
         let dispatcher = Arc::clone(self);
-        std::thread::Builder::new()
-            .name(label.clone())
-            .spawn(move || {
-                dispatcher.run_waves(fingerprint, ctx, label);
-                let mut active = dispatcher
-                    .active
-                    .lock()
-                    .expect("dispatcher active lock poisoned");
-                *active -= 1;
-                dispatcher.idle.notify_all();
-            })
-            .expect("spawn wave thread");
+        spawn_or_run(label.clone(), move || {
+            dispatcher.run_waves(fingerprint, ctx, label);
+            let mut active = dispatcher
+                .active
+                .lock()
+                .expect("dispatcher active lock poisoned");
+            *active -= 1;
+            dispatcher.idle.notify_all();
+        });
 
         Ok(JobHandle {
             fingerprint,
@@ -395,6 +394,46 @@ impl Dispatcher {
     }
 }
 
+/// Runs `work` on a new thread named `name`, or on the calling thread
+/// when no thread can be spawned (say, the process is at its thread
+/// limit).
+pub(crate) fn spawn_or_run<F: FnOnce() + Send + 'static>(name: String, work: F) {
+    fn take_and_run<F: FnOnce()>(slot: &Mutex<Option<F>>) {
+        let work = slot.lock().expect("spawn slot lock poisoned").take();
+        if let Some(work) = work {
+            work();
+        }
+    }
+    // The slot hands `work` back when `spawn` fails: it consumes the
+    // closure it was given either way.
+    let slot = Arc::new(Mutex::new(Some(work)));
+    let theirs = Arc::clone(&slot);
+    if spawn_thread(name, move || take_and_run(&theirs)).is_err() {
+        take_and_run(&slot);
+    }
+}
+
+fn spawn_thread(name: String, f: impl FnOnce() + Send + 'static) -> std::io::Result<()> {
+    #[cfg(test)]
+    if SPAWN_FAULT.with(|armed| armed.replace(false)) {
+        return Err(std::io::Error::other("injected spawn fault"));
+    }
+    std::thread::Builder::new().name(name).spawn(f).map(drop)
+}
+
+#[cfg(test)]
+std::thread_local! {
+    /// A one-shot spawn failure armed on this thread, for the
+    /// fallback test.
+    static SPAWN_FAULT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Arms a one-shot failure for the next spawn on this thread.
+#[cfg(test)]
+fn inject_spawn_fault() {
+    SPAWN_FAULT.with(|armed| armed.set(true));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,6 +503,36 @@ mod tests {
         assert!(dispatcher.wait_idle(Duration::from_secs(60)));
         let stats = dispatcher.stats_snapshot();
         assert_eq!(stats[names::SERVE_REQUESTS], 2);
+    }
+
+    #[test]
+    fn a_failed_wave_spawn_runs_the_wave_on_the_caller() {
+        let dispatcher = dispatcher();
+        inject_spawn_fault();
+        let handle = dispatcher
+            .submit(&quick_request("s", vec![ArtifactId::Table1]))
+            .expect("submit");
+        // The wave ran inside `submit`: its answer is already queued
+        // and no wave is left running.
+        match handle.events.try_recv() {
+            Ok(JobEvent::Done(answer)) => {
+                assert_eq!(answer.expect("job succeeds")[0].id, "table1");
+            }
+            other => panic!("expected a queued Done, got {other:?}"),
+        }
+        assert!(dispatcher.wait_idle(Duration::ZERO));
+
+        // The fingerprint is not wedged: the next request for it gets a
+        // wave of its own (spawned normally, the fault was one-shot).
+        let again = dispatcher
+            .submit(&quick_request("t", vec![ArtifactId::Table1]))
+            .expect("submit again");
+        assert_eq!(done_of(&again).expect("job succeeds")[0].id, "table1");
+        assert!(dispatcher.wait_idle(Duration::from_secs(60)));
+        assert_eq!(
+            dispatcher.stats_snapshot()[names::SERVE_MATERIALIZATIONS],
+            2
+        );
     }
 
     #[test]

@@ -23,6 +23,16 @@
 //! Everything is std-only (threads + channels + `TcpListener`), like
 //! the rest of the workspace.
 //!
+//! The transport adds no wait of its own to a warm hit: every socket
+//! runs with `TCP_NODELAY` (with Nagle on, the `result` write waits
+//! for the client's delayed ACK of the `ack` write, about 40 ms), and
+//! the accept loop blocks in `accept`, woken by a throwaway
+//! self-connection on [`Server::stop`] or a client `shutdown`. Request
+//! lines are capped at 1 MiB, and a thread that cannot be spawned
+//! degrades to running its work inline (a wave, a forwarder) or to
+//! closing its connection (a writer) instead of panicking; see
+//! [`server`].
+//!
 //! ## Wiring
 //!
 //! The three pieces compose explicitly so embedders control tracing:
